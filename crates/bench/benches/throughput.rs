@@ -1,23 +1,24 @@
 //! Micro-benchmarks of the Mocktails pipeline stages: partitioning,
-//! model fitting, synthesis and DRAM simulation.
+//! model fitting, synthesis, DRAM simulation and cache replay.
 //!
 //! Hand-rolled harness (no external bench crate, so the workspace builds
 //! hermetically): each stage runs for a fixed number of timed iterations
 //! after a short warm-up and reports the mean wall time per iteration.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use mocktails_cache::CacheHierarchy;
 use mocktails_core::partition::spatial;
 use mocktails_core::{HierarchyConfig, Profile};
 use mocktails_dram::{DramConfig, MemorySystem};
 use mocktails_trace::DecodeOptions;
-use mocktails_workloads::catalog;
+use mocktails_workloads::{catalog, spec};
 
 const WARMUP_ITERS: u32 = 3;
 const TIMED_ITERS: u32 = 20;
 
-fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Duration {
     for _ in 0..WARMUP_ITERS {
         black_box(f());
     }
@@ -27,6 +28,7 @@ fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     }
     let per_iter = start.elapsed() / TIMED_ITERS;
     println!("{name:<40} {per_iter:>12.2?}/iter ({TIMED_ITERS} iters)");
+    per_iter
 }
 
 fn main() {
@@ -54,4 +56,16 @@ fn main() {
     bench("profile_decode", || {
         Profile::read(&mut buf.as_slice(), &DecodeOptions::trusted()).expect("round trip")
     });
+
+    // The §V cache stage: a full-length SPEC-like trace through the
+    // paper's 32 KiB 4-way L1 over the 256 KiB 8-way L2.
+    let gobmk = spec::generate("gobmk", 1).expect("gobmk is a SPEC-like benchmark");
+    let replay = || CacheHierarchy::paper_config(32 << 10, 4).run_trace(&gobmk);
+    let l1_accesses = replay().l1.accesses;
+    let per_iter = bench("cache_replay_gobmk_120k", replay);
+    println!(
+        "{:<40} {:>12.1} ns/L1 access ({l1_accesses} accesses)",
+        "cache_replay_per_access",
+        per_iter.as_nanos() as f64 / l1_accesses as f64
+    );
 }

@@ -1,6 +1,8 @@
 //! A single set-associative cache level.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher};
 
 use mocktails_trace::Op;
 
@@ -37,23 +39,39 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `block_bytes` and `ways` are non-zero, the capacity is
-    /// a multiple of `ways * block_bytes`, and the resulting set count is a
-    /// power of two (required for bit-sliced indexing).
+    /// Panics unless `block_bytes` and `ways` are non-zero, `block_bytes`
+    /// is a power of two, the capacity is a multiple of
+    /// `ways * block_bytes`, and the resulting set count is a power of two
+    /// (both powers of two are required for shift-and-mask indexing).
     pub fn new(size_bytes: u64, ways: usize, block_bytes: u64) -> Self {
-        assert!(block_bytes > 0 && ways > 0, "degenerate cache geometry");
-        assert!(
-            size_bytes.is_multiple_of(ways as u64 * block_bytes),
-            "capacity must divide evenly into sets"
-        );
-        let sets = size_bytes / (ways as u64 * block_bytes);
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        Self {
+        let cfg = Self {
             size_bytes,
             ways,
             block_bytes,
             replacement: Replacement::Lru,
-        }
+        };
+        cfg.assert_geometry();
+        cfg
+    }
+
+    fn assert_geometry(&self) {
+        assert!(
+            self.block_bytes > 0 && self.ways > 0,
+            "degenerate cache geometry"
+        );
+        assert!(
+            self.block_bytes.is_power_of_two(),
+            "block size must be a power of two"
+        );
+        assert!(
+            self.size_bytes
+                .is_multiple_of(self.ways as u64 * self.block_bytes),
+            "capacity must divide evenly into sets"
+        );
+        assert!(
+            self.sets().is_power_of_two(),
+            "set count must be a power of two"
+        );
     }
 
     /// Returns the same geometry with a different replacement policy
@@ -107,24 +125,79 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
+    /// Monotonic clock stamp: last use under LRU, insertion under FIFO
+    /// (unused under Random).
+    stamp: u64,
     dirty: bool,
-    /// Monotonic use stamp for LRU.
-    last_use: u64,
-    /// Monotonic insertion stamp for FIFO.
-    inserted: u64,
 }
 
-/// One set-associative, write-back, write-allocate cache level with LRU
-/// replacement, simulated in atomic mode (order only).
+/// Multiplicative hasher for block numbers: one 64×64→128-bit multiply
+/// folded to 64 bits, so both the low (bucket) and high (tag) bits of the
+/// hash depend on every bit of the block number.
+#[derive(Debug, Clone, Copy)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`BlockHasher`]s from a per-cache random key. Block numbers come
+/// from traces, which may be untrusted files; the key keeps a crafted
+/// trace from predicting collisions. Only the set's size is ever read, so
+/// the key cannot change any statistic.
+#[derive(Debug, Clone)]
+struct BlockHashKey(u64);
+
+impl BlockHashKey {
+    fn random() -> Self {
+        Self(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for BlockHashKey {
+    type Hasher = BlockHasher;
+
+    fn build_hasher(&self) -> BlockHasher {
+        BlockHasher(self.0)
+    }
+}
+
+/// One set-associative, write-back, write-allocate cache level, simulated
+/// in atomic mode (order only).
+///
+/// Lines live in one flat set-major array: set `s` owns the `ways` slots
+/// starting at `s * ways`, of which the first `fill[s]` are valid. A fill
+/// into a full set moves the set's last line into the victim's slot and
+/// writes the new line last (`swap_remove` + `push` order), which is the
+/// order [`Replacement::Random`]'s positional victim choice depends on.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    fill: Vec<usize>,
+    set_mask: u64,
+    set_shift: u32,
+    block_shift: u32,
     clock: u64,
-    touched: HashSet<u64>,
+    /// Every block ever filled; a hit implies its block was recorded by
+    /// the miss that filled it, so only misses insert.
+    touched: HashSet<u64, BlockHashKey>,
     stats: CacheStats,
     /// xorshift64 state for [`Replacement::Random`].
     rng_state: u64,
@@ -132,12 +205,23 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` breaks a [`CacheConfig::new`] requirement (possible
+    /// only for a configuration built as a struct literal).
     pub fn new(cfg: CacheConfig) -> Self {
+        cfg.assert_geometry();
+        let sets = cfg.sets();
         Self {
             cfg,
-            sets: vec![Vec::new(); cfg.sets() as usize],
+            lines: vec![Line::default(); sets as usize * cfg.ways],
+            fill: vec![0; sets as usize],
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
+            block_shift: cfg.block_bytes.trailing_zeros(),
             clock: 0,
-            touched: HashSet::new(),
+            touched: HashSet::with_hasher(BlockHashKey::random()),
             stats: CacheStats::default(),
             rng_state: 0x9e37_79b9_7f4a_7c15,
         }
@@ -159,19 +243,26 @@ impl Cache {
     /// (write-allocate on miss). Returns the hit/eviction outcome so a
     /// hierarchy can propagate fills and write-backs.
     pub fn access(&mut self, addr: u64, op: Op) -> AccessOutcome {
-        let block = addr / self.cfg.block_bytes;
-        let set_idx = (block % self.cfg.sets()) as usize;
-        let tag = block / self.cfg.sets();
+        self.access_block(addr >> self.block_shift, op.is_write())
+    }
+
+    /// Accesses block number `block` (an address shifted right by the
+    /// block size).
+    pub(crate) fn access_block(&mut self, block: u64, write: bool) -> AccessOutcome {
+        let set = (block & self.set_mask) as usize;
+        let tag = block >> self.set_shift;
+        let ways = self.cfg.ways;
         self.clock += 1;
         self.stats.accesses += 1;
-        self.touched.insert(block);
 
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.last_use = self.clock;
-            if op.is_write() {
-                line.dirty = true;
+        let base = set * ways;
+        let filled = self.fill[set];
+        let lines = &mut self.lines[base..base + ways];
+        if let Some(line) = lines[..filled].iter_mut().find(|l| l.tag == tag) {
+            if self.cfg.replacement == Replacement::Lru {
+                line.stamp = self.clock;
             }
+            line.dirty |= write;
             self.stats.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -180,57 +271,68 @@ impl Cache {
         }
 
         self.stats.misses += 1;
-        let mut evicted = None;
-        if set.len() >= self.cfg.ways {
-            let victim_idx = match self.cfg.replacement {
-                Replacement::Lru => {
-                    set.iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.last_use)
-                        .expect("set non-empty") // lint: allow(L001, associativity is at least 1 so a set is never empty)
-                        .0
-                }
-                Replacement::Fifo => {
-                    set.iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.inserted)
-                        .expect("set non-empty") // lint: allow(L001, associativity is at least 1 so a set is never empty)
-                        .0
-                }
-                Replacement::Random => {
-                    // xorshift64: deterministic, dependency-free.
-                    self.rng_state ^= self.rng_state << 13;
-                    self.rng_state ^= self.rng_state >> 7;
-                    self.rng_state ^= self.rng_state << 17;
-                    (self.rng_state % set.len() as u64) as usize
-                }
-            };
-            let victim = set.swap_remove(victim_idx);
-            self.stats.replacements += 1;
-            if victim.dirty {
-                self.stats.write_backs += 1;
-            }
-            let victim_block = victim.tag * self.cfg.sets() + set_idx as u64;
-            evicted = Some((victim_block * self.cfg.block_bytes, victim.dirty));
-        }
-        set.push(Line {
+        self.touched.insert(block);
+        let fresh = Line {
             tag,
-            dirty: op.is_write(),
-            last_use: self.clock,
-            inserted: self.clock,
-        });
+            stamp: self.clock,
+            dirty: write,
+        };
+        if filled < ways {
+            lines[filled] = fresh;
+            self.fill[set] = filled + 1;
+            return AccessOutcome {
+                hit: false,
+                evicted: None,
+            };
+        }
+
+        let victim_idx = match self.cfg.replacement {
+            Replacement::Lru | Replacement::Fifo => oldest(lines),
+            Replacement::Random => {
+                // xorshift64: deterministic, dependency-free.
+                self.rng_state ^= self.rng_state << 13;
+                self.rng_state ^= self.rng_state >> 7;
+                self.rng_state ^= self.rng_state << 17;
+                (self.rng_state % ways as u64) as usize
+            }
+        };
+        let victim = lines[victim_idx];
+        lines[victim_idx] = lines[ways - 1];
+        lines[ways - 1] = fresh;
+        self.stats.replacements += 1;
+        if victim.dirty {
+            self.stats.write_backs += 1;
+        }
+        let victim_block = (victim.tag << self.set_shift) | set as u64;
         AccessOutcome {
             hit: false,
-            evicted,
+            evicted: Some((victim_block << self.block_shift, victim.dirty)),
         }
+    }
+
+    /// The block numbers an `(addr, size)` request touches. The end
+    /// address saturates, so a request running past the top of the
+    /// address space touches the last block.
+    pub(crate) fn block_range(&self, addr: u64, size: u32) -> std::ops::RangeInclusive<u64> {
+        let end = addr.saturating_add(u64::from(size.max(1)) - 1);
+        (addr >> self.block_shift)..=(end >> self.block_shift)
     }
 
     /// The block addresses an `(addr, size)` request touches.
     pub fn blocks_of(&self, addr: u64, size: u32) -> impl Iterator<Item = u64> + '_ {
-        let first = addr / self.cfg.block_bytes;
-        let last = (addr + u64::from(size).max(1) - 1) / self.cfg.block_bytes;
-        (first..=last).map(move |b| b * self.cfg.block_bytes)
+        self.block_range(addr, size)
+            .map(move |b| b << self.block_shift)
     }
+}
+
+/// Index of the line with the smallest stamp: the LRU or FIFO victim.
+/// Stamps are unique, so the minimum is too.
+fn oldest(lines: &[Line]) -> usize {
+    lines
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, l)| l.stamp)
+        .map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]
@@ -252,6 +354,23 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = CacheConfig::new(3 * 64 * 2, 2, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be a power of two")]
+    fn non_power_of_two_block_rejected() {
+        // 4 sets × 2 ways × 48 B: the set count alone would pass.
+        let _ = CacheConfig::new(4 * 2 * 48, 2, 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be a power of two")]
+    fn struct_literal_geometry_is_checked_by_cache_new() {
+        let cfg = CacheConfig {
+            block_bytes: 48,
+            ..CacheConfig::new(512, 2, 64)
+        };
+        let _ = Cache::new(cfg);
     }
 
     #[test]

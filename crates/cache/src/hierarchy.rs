@@ -55,18 +55,16 @@ impl CacheHierarchy {
     /// Performs one request's worth of accesses (each touched block is
     /// accessed in order).
     pub fn access(&mut self, addr: u64, size: u32, op: Op) {
-        let blocks: Vec<u64> = self.l1.blocks_of(addr, size).collect();
-        for block in blocks {
-            let outcome = self.l1.access(block, op);
+        let write = op.is_write();
+        for block in self.l1.block_range(addr, size) {
+            let outcome = self.l1.access_block(block, write);
             if !outcome.hit {
                 // Fill path: the L2 sees a read for the missing block.
-                self.l2.access(block, Op::Read);
+                self.l2.access_block(block, false);
             }
-            if let Some((victim, dirty)) = outcome.evicted {
-                if dirty {
-                    // Write-back into the L2.
-                    self.l2.access(victim, Op::Write);
-                }
+            if let Some((victim, true)) = outcome.evicted {
+                // Write-back of a dirty victim into the L2.
+                self.l2.access(victim, Op::Write);
             }
         }
     }

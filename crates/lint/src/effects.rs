@@ -12,7 +12,8 @@
 //!   `wait`/`wait_timeout`, the `fsync` family (`sync_all`/`sync_data`)
 //!   and std lock acquisitions;
 //! * **alloc** — `Vec`/`VecDeque`/`String`/`Box` construction, `vec!` /
-//!   `format!`, and `.clone()`/`.to_vec()`/`.to_string()`/`.to_owned()`.
+//!   `format!`, and `.clone()`/`.to_vec()`/`.to_string()`/`.to_owned()`/
+//!   `.collect()`.
 //!
 //! The summary lattice per (function, kind) is `Option<Cause>`: `None`
 //! (no reachable effect) below `Some` (one *witness* — the cheapest
@@ -44,7 +45,8 @@
 //!   uncontended mutex hops are the serve design's foundation, and
 //!   blocking *while holding* one is already L013's job.
 //! * **L018** — allocation effects (direct or one resolved call deep)
-//!   inside a CFG loop back-edge scope on the synthesis/codec hot path:
+//!   inside a CFG loop back-edge scope on the synthesis/codec hot path
+//!   and the cache replay kernel:
 //!   the machine-readable worklist for the buffer-reuse campaign.
 //! * **L019** — `self`-rooted collection growth in the serve crate with
 //!   no same-file shrink (`pop`/`remove`/`truncate`/`clear`/`drain`/
@@ -72,7 +74,7 @@ const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"
 const SYNC_CALLS: [&str; 2] = ["sync_all", "sync_data"];
 
 /// Empty-arg method calls that allocate.
-const ALLOC_METHODS: [&str; 4] = ["clone", "to_vec", "to_string", "to_owned"];
+const ALLOC_METHODS: [&str; 5] = ["clone", "to_vec", "to_string", "to_owned", "collect"];
 
 /// Allocating constructors, as `Type::name` pairs.
 const ALLOC_TYPES: [&str; 4] = ["Vec", "VecDeque", "String", "Box"];
@@ -864,7 +866,8 @@ fn l017_reactor_blocking(
 // L018: hot-loop allocation
 // ---------------------------------------------------------------------------
 
-/// Files on the synthesis/codec hot path whose loops L018 polices.
+/// Files on the synthesis/codec hot path and the cache replay kernel
+/// whose loops L018 polices.
 fn l018_path(path: &str) -> bool {
     [
         "core/src/synth",
@@ -873,6 +876,7 @@ fn l018_path(path: &str) -> bool {
         "trace/src/codec",
         "trace/src/stream",
         "trace/src/fingerprint",
+        "cache/src",
     ]
     .iter()
     .any(|p| path.contains(p))

@@ -1,6 +1,7 @@
 //! Effect-summary rule fixtures: a three-hop L016 panic chain out of the
 //! synthesis iterator, L017 blocking two calls behind the reactor sweep,
-//! an L018 allocation in a nested hot loop, and an L019 capped-vs-uncapped
+//! an L018 allocation in a nested hot loop (and a per-request `collect`
+//! in a cache replay loop), and an L019 capped-vs-uncapped
 //! growth pair. Each failing fixture carries a clean sibling in the same
 //! file, so every test pins both the hit and the non-hit.
 
@@ -107,6 +108,28 @@ fn l018_fixture_flags_only_the_nested_loop_allocation() {
         msg.contains("format!") && msg.contains("render_rows"),
         "{msg}"
     );
+}
+
+#[test]
+fn l018_polices_cache_replay_loops() {
+    // A `.collect()` into a fresh `Vec` per request is an allocation site
+    // and `cache/src` is a policed path; the in-place sibling is clean.
+    let got = effect_diags(
+        "effects/l018_cache.rs",
+        "crates/cache/src/hierarchy.rs",
+        "l018-cache",
+    );
+    assert_eq!(got.len(), 1, "{got:?}");
+    let (line, rule, msg) = &got[0];
+    assert_eq!((*line, *rule), (6, "L018"), "{got:?}");
+    assert!(msg.contains("collect") && msg.contains("replay"), "{msg}");
+    // The same file outside the policed paths is not L018's business.
+    let off_path = effect_diags(
+        "effects/l018_cache.rs",
+        "crates/sim/src/replay.rs",
+        "l018-off",
+    );
+    assert!(off_path.is_empty(), "{off_path:?}");
 }
 
 #[test]

@@ -37,29 +37,57 @@ fn dynamic_beats_fixed_4k_on_cache_miss_rate() {
     );
 }
 
+/// Largest |Δ L1 miss rate| from 2 to 16 ways that still counts as a
+/// *flat* Fig. 15 trend. libquantum's streaming scan measures exactly 0
+/// here (baseline and synthetic, generator seeds 1–3 × synthesis seeds
+/// 2–4); gobmk and zeusmp move by ~0.56 and ~0.48, so the bound separates
+/// the three shapes by more than an order of magnitude on either side.
+const FLAT_TREND_BOUND: f64 = 0.01;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trend {
+    Falls,
+    Flat,
+    Rises,
+}
+
+fn trend_of(delta: f64) -> Trend {
+    if delta.abs() < FLAT_TREND_BOUND {
+        Trend::Flat
+    } else if delta > 0.0 {
+        Trend::Rises
+    } else {
+        Trend::Falls
+    }
+}
+
 #[test]
 fn mocktails_tracks_associativity_trends_like_hrd() {
     // Fig. 15's three trends must be preserved by Mocktails(Dynamic).
-    for (name, rising) in [("gobmk", false), ("zeusmp", true)] {
+    for (name, expected) in [
+        ("gobmk", Trend::Falls),
+        ("libquantum", Trend::Flat),
+        ("zeusmp", Trend::Rises),
+    ] {
         let trace = spec::generate_n(name, 1, 24_000).unwrap();
         let profile = Profile::fit(&trace, &HierarchyConfig::two_level_requests_dynamic(6_000));
         let synth = profile.synthesize(2);
-        let trend = |t: &Trace| {
+        let delta = |t: &Trace| {
             let low = l1_miss_rate(t, 32 << 10, 2);
             let high = l1_miss_rate(t, 32 << 10, 16);
             high - low
         };
-        let base_trend = trend(&trace);
-        let synth_trend = trend(&synth);
+        let base_delta = delta(&trace);
+        let synth_delta = delta(&synth);
         assert_eq!(
-            base_trend > 0.0,
-            rising,
-            "{name} baseline trend {base_trend:.4} inverted"
+            trend_of(base_delta),
+            expected,
+            "{name} baseline trend {base_delta:.4}"
         );
         assert_eq!(
-            synth_trend > 0.0,
-            rising,
-            "{name} synthetic trend {synth_trend:.4} inverted"
+            trend_of(synth_delta),
+            expected,
+            "{name} synthetic trend {synth_delta:.4}"
         );
     }
 }
