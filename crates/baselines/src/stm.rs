@@ -10,7 +10,7 @@
 //! probability cannot capture read/write *ordering*.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use mocktails_core::partition::hierarchy;
 use mocktails_core::{HierarchyConfig, McC, McCSampler};
@@ -24,13 +24,50 @@ pub const MAX_HISTORY: usize = 8;
 
 /// A stride pattern table: maps a history of recent strides to a
 /// distribution over the next stride, with back-off to shorter histories.
+///
+/// Stored as a trie over *reversed* histories: the root is the empty
+/// history (the order-0 distribution), and the child of a node along
+/// stride `s` is that node's history extended one stride further into the
+/// past by `s`, so a path from the root spells a history most recent
+/// stride first. Each node holds its next-stride distribution, sorted by
+/// stride.
+///
+/// Fitting inserts every context of up to [`MAX_HISTORY`] strides together
+/// with all of its shorter suffixes, so the stored histories are closed
+/// under taking suffixes. Hence the longest stored suffix of a query
+/// history is exactly the deepest node reached by walking the query from
+/// its most recent stride, and [`StrideTable::sample`]'s longest-context
+/// back-off is one walk down the trie.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrideTable {
-    /// `history (most recent last) -> [(next stride, count)]`.
-    table: BTreeMap<Vec<i64>, Vec<(i64, u64)>>,
-    /// Global next-stride distribution (order-0 fallback).
-    global: Vec<(i64, u64)>,
+    /// Trie nodes; node 0 is the root (the empty history).
+    nodes: Vec<StrideNode>,
     first: i64,
+}
+
+/// One history context of a [`StrideTable`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct StrideNode {
+    /// `(older stride, child node)`, sorted by stride.
+    children: Vec<(i64, usize)>,
+    /// `(next stride, count)`, sorted by stride.
+    next: Vec<(i64, u64)>,
+}
+
+impl StrideNode {
+    fn child(&self, stride: i64) -> Option<usize> {
+        self.children
+            .binary_search_by_key(&stride, |&(s, _)| s)
+            .ok()
+            .map(|i| self.children[i].1)
+    }
+
+    fn count(&mut self, stride: i64) {
+        match self.next.binary_search_by_key(&stride, |&(s, _)| s) {
+            Ok(i) => self.next[i].1 += 1,
+            Err(i) => self.next.insert(i, (stride, 1)),
+        }
+    }
 }
 
 impl StrideTable {
@@ -38,26 +75,29 @@ impl StrideTable {
     ///
     /// Returns `None` if there are no strides (single-request leaf).
     pub fn fit(strides: &[i64]) -> Option<Self> {
-        if strides.is_empty() {
-            return None;
-        }
-        let mut table: BTreeMap<Vec<i64>, BTreeMap<i64, u64>> = BTreeMap::new();
-        let mut global: BTreeMap<i64, u64> = BTreeMap::new();
-        for i in 0..strides.len() {
-            *global.entry(strides[i]).or_insert(0) += 1;
-            for h in 1..=MAX_HISTORY.min(i) {
-                let key = strides[i - h..i].to_vec();
-                *table.entry(key).or_default().entry(strides[i]).or_insert(0) += 1;
+        let &first = strides.first()?;
+        let mut nodes = vec![StrideNode::default()];
+        for (i, &stride) in strides.iter().enumerate() {
+            nodes[0].count(stride);
+            // Contexts strides[i-h..i] for h = 1..=MAX_HISTORY, each one
+            // stride longer than the last: walk from the most recent.
+            let mut node = 0;
+            for &older in strides[i.saturating_sub(MAX_HISTORY)..i].iter().rev() {
+                node = match nodes[node].child(older) {
+                    Some(child) => child,
+                    None => {
+                        let child = nodes.len();
+                        let children = &mut nodes[node].children;
+                        let at = children.partition_point(|&(s, _)| s < older);
+                        children.insert(at, (older, child));
+                        nodes.push(StrideNode::default());
+                        child
+                    }
+                };
+                nodes[node].count(stride);
             }
         }
-        Some(Self {
-            table: table
-                .into_iter()
-                .map(|(k, v)| (k, v.into_iter().collect()))
-                .collect(),
-            global: global.into_iter().collect(),
-            first: strides[0],
-        })
+        Some(Self { nodes, first })
     }
 
     /// The first observed stride (seeds generation).
@@ -67,20 +107,20 @@ impl StrideTable {
 
     /// Number of stored history contexts.
     pub fn contexts(&self) -> usize {
-        self.table.len()
+        self.nodes.len() - 1
     }
 
     /// Samples the next stride given the most recent history (most recent
     /// last), backing off from the longest matching context to order 0.
     pub fn sample<R: Rng + ?Sized>(&self, history: &[i64], rng: &mut R) -> i64 {
-        let take = history.len().min(MAX_HISTORY);
-        for h in (1..=take).rev() {
-            let key = &history[history.len() - h..];
-            if let Some(dist) = self.table.get(key) {
-                return pick(dist, rng);
+        let mut node = &self.nodes[0];
+        for &stride in history.iter().rev().take(MAX_HISTORY) {
+            match node.child(stride) {
+                Some(child) => node = &self.nodes[child],
+                None => break,
             }
         }
-        pick(&self.global, rng)
+        pick(&node.next, rng)
     }
 }
 
@@ -138,15 +178,16 @@ impl StmLeaf {
         self.count
     }
 
-    fn generator(&self, strict: bool) -> StmGenerator {
+    fn generator(&self, strict: bool) -> StmGenerator<'_> {
         StmGenerator {
-            leaf: self.clone(),
+            leaf: self,
             remaining: self.count,
             reads_left: self.reads,
             writes_left: self.writes,
             time: self.start_time,
             address: self.start_address,
-            history: Vec::new(),
+            history: [0; MAX_HISTORY],
+            history_len: 0,
             first: true,
             delta_time: self.delta_time.sampler(strict),
             size: self.size.sampler(strict),
@@ -156,20 +197,34 @@ impl StmLeaf {
 
 /// Streaming generator for one STM leaf.
 #[derive(Debug)]
-struct StmGenerator {
-    leaf: StmLeaf,
+struct StmGenerator<'a> {
+    leaf: &'a StmLeaf,
     remaining: u64,
     reads_left: u64,
     writes_left: u64,
     time: u64,
     address: u64,
-    history: Vec<i64>,
+    /// The last `history_len` strides, most recent last.
+    history: [i64; MAX_HISTORY],
+    history_len: usize,
     first: bool,
     delta_time: McCSampler,
     size: McCSampler,
 }
 
-impl StmGenerator {
+impl StmGenerator<'_> {
+    /// Appends `stride` to the history window, dropping the oldest stride
+    /// once the window holds [`MAX_HISTORY`].
+    fn push_history(&mut self, stride: i64) {
+        if self.history_len == MAX_HISTORY {
+            self.history.copy_within(1.., 0);
+            self.history[MAX_HISTORY - 1] = stride;
+        } else {
+            self.history[self.history_len] = stride;
+            self.history_len += 1;
+        }
+    }
+
     fn next_request(&mut self, rng: &mut Prng) -> Option<Request> {
         if self.remaining == 0 {
             return None;
@@ -178,19 +233,16 @@ impl StmGenerator {
         if self.first {
             self.first = false;
             if let Some(t) = &self.leaf.strides {
-                self.history.push(t.first());
+                self.push_history(t.first());
             }
         } else {
             let dt = self.delta_time.next_value(rng).max(0) as u64;
             self.time = self.time.saturating_add(dt);
             let stride = match &self.leaf.strides {
-                Some(t) => t.sample(&self.history, rng),
+                Some(t) => t.sample(&self.history[..self.history_len], rng),
                 None => 0,
             };
-            self.history.push(stride);
-            if self.history.len() > MAX_HISTORY {
-                self.history.remove(0);
-            }
+            self.push_history(stride);
             self.address = self
                 .leaf
                 .range

@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the Mocktails pipeline stages: partitioning,
-//! model fitting, synthesis, DRAM simulation and cache replay.
+//! model fitting, synthesis, DRAM simulation, the STM baseline and cache
+//! replay.
 //!
 //! Hand-rolled harness (no external bench crate, so the workspace builds
 //! hermetically): each stage runs for a fixed number of timed iterations
@@ -8,6 +9,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use mocktails_baselines::StmProfile;
 use mocktails_cache::CacheHierarchy;
 use mocktails_core::partition::spatial;
 use mocktails_core::{HierarchyConfig, Profile};
@@ -47,14 +49,29 @@ fn main() {
 
     bench("synthesize_20k", || profile.synthesize(1));
 
-    bench("dram_replay_20k", || {
-        MemorySystem::new(DramConfig::default()).run_trace(&trace)
-    });
-
     let mut buf = Vec::new();
     profile.write(&mut buf).expect("profile encodes");
     bench("profile_decode", || {
         Profile::read(&mut buf.as_slice(), &DecodeOptions::trusted()).expect("round trip")
+    });
+
+    // The §IV DRAM and STM stages on a full-length many-leaf GPU trace
+    // (T-Rex1: 23 040 requests, 4 521 leaves, long write queues) rather
+    // than a truncated streaming one.
+    let trex = catalog::by_name("T-Rex1")
+        .expect("catalog trace")
+        .generate();
+    let per_iter = bench("dram_replay_trex1", || {
+        MemorySystem::new(DramConfig::default()).run_trace(&trex)
+    });
+    println!(
+        "{:<40} {:>12.1} ns/request ({} requests)",
+        "dram_replay_per_request",
+        per_iter.as_nanos() as f64 / trex.len() as f64,
+        trex.len()
+    );
+    bench("stm_fit_synthesize_trex1", || {
+        StmProfile::fit(&trex, &config).synthesize(1)
     });
 
     // The §V cache stage: a full-length SPEC-like trace through the

@@ -5,8 +5,8 @@ use std::collections::VecDeque;
 
 use mocktails_trace::Op;
 
-use crate::config::DramConfig;
-use crate::stats::ChannelStats;
+use crate::config::{DramConfig, PagePolicy, SchedulingPolicy};
+use crate::stats::{ChannelStats, PortStats};
 
 /// One DRAM burst in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +33,18 @@ struct Bank {
 #[derive(Debug)]
 pub(crate) struct Channel {
     cfg: DramConfig,
+    /// Write-queue occupancy that starts a drain ([`DramConfig::write_high_mark`]).
+    write_high_mark: usize,
+    /// Write-queue occupancy at which a drain may stop.
+    write_low_mark: usize,
     banks: Vec<Bank>,
     read_q: VecDeque<Packet>,
     write_q: VecDeque<Packet>,
+    /// Bursts queued per bank, across both queues.
+    queued_per_bank: Vec<u32>,
+    /// Per-port counters, indexed by port id; folded into
+    /// [`ChannelStats::ports`] by [`Channel::stats`].
+    ports: Vec<PortStats>,
     /// Decision clock: the time of the last scheduling decision.
     now: u64,
     /// When the data bus frees up.
@@ -47,6 +56,8 @@ pub(crate) struct Channel {
     last_op: Option<Op>,
     /// Next all-bank refresh deadline (tREFI cadence).
     next_refresh: u64,
+    /// Running statistics. `ports` stays empty here; [`Channel::stats`]
+    /// builds it.
     pub(crate) stats: ChannelStats,
 }
 
@@ -56,9 +67,13 @@ impl Channel {
         let stats = ChannelStats::new(cfg.banks, cfg.read_queue, cfg.write_queue);
         Self {
             cfg,
+            write_high_mark: cfg.write_high_mark(),
+            write_low_mark: cfg.write_low_mark(),
             banks,
             read_q: VecDeque::new(),
             write_q: VecDeque::new(),
+            queued_per_bank: vec![0; cfg.banks],
+            ports: Vec::new(),
             now: 0,
             bus_free_at: 0,
             draining_writes: false,
@@ -68,6 +83,18 @@ impl Channel {
             next_refresh: cfg.timing.t_refi,
             stats,
         }
+    }
+
+    /// The statistics so far, with the per-port map built from the port
+    /// counters: one entry per port that has at least one serviced burst.
+    pub(crate) fn stats(&self) -> ChannelStats {
+        let mut stats = self.stats.clone();
+        stats.ports = (0u16..)
+            .zip(&self.ports)
+            .filter(|(_, p)| p.read_bursts + p.write_bursts > 0)
+            .map(|(port, p)| (port, *p))
+            .collect();
+        stats
     }
 
     /// Applies any refreshes due by `now`: every bank precharges and is
@@ -124,6 +151,11 @@ impl Channel {
         // Observe queue occupancy as seen by the arriving burst (Fig. 8).
         self.stats
             .observe_queues(packet.op, self.read_q.len(), self.write_q.len());
+        let port = usize::from(packet.port);
+        if port >= self.ports.len() {
+            self.ports.resize(port + 1, PortStats::default());
+        }
+        self.queued_per_bank[packet.bank] += 1;
         match packet.op {
             Op::Read => self.read_q.push_back(packet),
             Op::Write => self.write_q.push_back(packet),
@@ -156,7 +188,7 @@ impl Channel {
         // or when there is nothing else to do; stop at the low mark once
         // the minimum writes per switch are done.
         if self.draining_writes {
-            let below_low = self.write_q.len() <= self.cfg.write_low_mark();
+            let below_low = self.write_q.len() <= self.write_low_mark;
             if self.write_q.is_empty()
                 || (below_low
                     && self.writes_this_drain >= self.cfg.min_writes_per_switch
@@ -166,7 +198,7 @@ impl Channel {
             }
         }
         if !self.draining_writes {
-            let must_drain = self.write_q.len() >= self.cfg.write_high_mark()
+            let must_drain = self.write_q.len() >= self.write_high_mark
                 || (self.read_q.is_empty() && !self.write_q.is_empty());
             if must_drain {
                 self.draining_writes = true;
@@ -192,16 +224,17 @@ impl Channel {
             Op::Write => &self.write_q,
         };
         let idx = match self.cfg.scheduling {
-            crate::config::SchedulingPolicy::FrFcfs => queue
+            SchedulingPolicy::FrFcfs => queue
                 .iter()
                 .position(|p| self.banks[p.bank].open_row == Some(p.row))
                 .unwrap_or(0),
-            crate::config::SchedulingPolicy::Fcfs => 0,
+            SchedulingPolicy::Fcfs => 0,
         };
         let packet = match op {
             Op::Read => self.read_q.remove(idx).expect("index valid"), // lint: allow(L001, idx was produced by scanning this very queue)
             Op::Write => self.write_q.remove(idx).expect("index valid"), // lint: allow(L001, idx was produced by scanning this very queue)
         };
+        self.queued_per_bank[packet.bank] -= 1;
 
         // Timing.
         let bank = &mut self.banks[packet.bank];
@@ -227,20 +260,13 @@ impl Channel {
 
         // Page policy: decide whether to leave the row open.
         let precharge = match self.cfg.page_policy {
-            crate::config::PagePolicy::Open => false,
-            crate::config::PagePolicy::Closed => true,
-            crate::config::PagePolicy::OpenAdaptive => {
-                // Precharge early when no queued burst hits this row but
-                // one conflicts with it.
-                let same_bank: Vec<&Packet> = self
-                    .read_q
-                    .iter()
-                    .chain(self.write_q.iter())
-                    .filter(|p| p.bank == packet.bank)
-                    .collect();
-                let any_hit = same_bank.iter().any(|p| p.row == packet.row);
-                let any_conflict = same_bank.iter().any(|p| p.row != packet.row);
-                !any_hit && any_conflict
+            PagePolicy::Open => false,
+            PagePolicy::Closed => true,
+            // Precharge early when no queued burst hits this row but one
+            // conflicts with it: some burst waits on the bank, and none of
+            // them targets the open row.
+            PagePolicy::OpenAdaptive => {
+                self.queued_per_bank[packet.bank] > 0 && !self.row_pending(packet.bank, packet.row)
             }
         };
         if precharge {
@@ -267,13 +293,33 @@ impl Channel {
         }
         self.last_op = Some(packet.op);
 
-        self.stats.record_service(
-            packet.op,
-            packet.bank,
-            row_hit,
-            completion - packet.injected,
-            packet.port,
-        );
+        let latency = completion - packet.injected;
+        let port = &mut self.ports[usize::from(packet.port)];
+        match packet.op {
+            Op::Read => port.read_bursts += 1,
+            Op::Write => port.write_bursts += 1,
+        }
+        port.latency_sum += latency;
+        self.stats
+            .record_service(packet.op, packet.bank, row_hit, latency);
+    }
+
+    /// Whether a queued burst targets `row` of `bank`. Stops at the first
+    /// such burst, or once every burst queued for the bank has been seen.
+    fn row_pending(&self, bank: usize, row: u64) -> bool {
+        let mut unseen = self.queued_per_bank[bank];
+        for p in self.read_q.iter().chain(&self.write_q) {
+            if p.bank == bank {
+                if p.row == row {
+                    return true;
+                }
+                unseen -= 1;
+                if unseen == 0 {
+                    return false;
+                }
+            }
+        }
+        false
     }
 
     #[cfg(test)]
@@ -451,7 +497,6 @@ mod tests {
 
     #[test]
     fn fcfs_services_in_arrival_order() {
-        use crate::config::SchedulingPolicy;
         let mut cfg = cfg();
         cfg.scheduling = SchedulingPolicy::Fcfs;
         let mut ch = Channel::new(cfg);
@@ -465,7 +510,6 @@ mod tests {
 
     #[test]
     fn closed_page_policy_kills_row_hits() {
-        use crate::config::PagePolicy;
         let mut cfg = cfg();
         cfg.page_policy = PagePolicy::Closed;
         let mut ch = Channel::new(cfg);
@@ -478,7 +522,6 @@ mod tests {
 
     #[test]
     fn open_page_policy_never_precharges_early() {
-        use crate::config::PagePolicy;
         let mut cfg = cfg();
         cfg.page_policy = PagePolicy::Open;
         let mut ch = Channel::new(cfg);

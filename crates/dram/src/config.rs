@@ -1,5 +1,7 @@
 //! Memory system configuration (paper Table III) and address mapping.
 
+use std::ops::RangeInclusive;
+
 /// DRAM timing parameters, in controller clock cycles.
 ///
 /// These are simplified but representative LPDDR-class numbers; the paper's
@@ -206,7 +208,12 @@ pub struct AddressMapping {
 impl AddressMapping {
     /// Decodes `addr` to `(channel, bank, row)`.
     pub fn decode(&self, addr: u64) -> (usize, usize, u64) {
-        let burst = addr / self.burst_bytes;
+        self.decode_burst(addr / self.burst_bytes)
+    }
+
+    /// Decodes the burst with index `burst` (its address divided by the
+    /// burst size) to `(channel, bank, row)`.
+    pub(crate) fn decode_burst(&self, burst: u64) -> (usize, usize, u64) {
         let (channel, x) = match self.scheme {
             MappingScheme::ChannelInterleaved => {
                 let channel = (burst % self.channels) as usize;
@@ -222,12 +229,19 @@ impl AddressMapping {
         (channel, bank, row)
     }
 
-    /// Splits `[addr, addr + size)` into the starting addresses of the
-    /// DRAM bursts it touches.
-    pub fn bursts(&self, addr: u64, size: u32) -> Vec<u64> {
-        let first = addr / self.burst_bytes;
-        let last = (addr + u64::from(size) - 1) / self.burst_bytes;
-        (first..=last).map(|b| b * self.burst_bytes).collect()
+    /// The indices of the DRAM bursts `[addr, addr + size)` touches. The
+    /// end address saturates at the top of the address space, and a
+    /// zero-byte span counts as one byte.
+    pub(crate) fn burst_range(&self, addr: u64, size: u32) -> RangeInclusive<u64> {
+        let end = addr.saturating_add(u64::from(size.max(1)) - 1);
+        (addr / self.burst_bytes)..=(end / self.burst_bytes)
+    }
+
+    /// Walks the starting addresses of the DRAM bursts `[addr, addr + size)`
+    /// touches, in address order, without allocating.
+    pub fn bursts(&self, addr: u64, size: u32) -> impl Iterator<Item = u64> {
+        let burst_bytes = self.burst_bytes;
+        self.burst_range(addr, size).map(move |b| b * burst_bytes)
     }
 }
 
@@ -289,11 +303,13 @@ mod tests {
     #[test]
     fn burst_splitting() {
         let m = DramConfig::default().mapping();
-        assert_eq!(m.bursts(0, 32), vec![0]);
-        assert_eq!(m.bursts(0, 64), vec![0, 32]);
-        assert_eq!(m.bursts(16, 32), vec![0, 32], "unaligned spans two");
-        assert_eq!(m.bursts(0, 1), vec![0]);
-        assert_eq!(m.bursts(96, 128), vec![96, 128, 160, 192]);
+        let bursts = |addr, size| m.bursts(addr, size).collect::<Vec<u64>>();
+        assert_eq!(bursts(0, 32), vec![0]);
+        assert_eq!(bursts(0, 64), vec![0, 32]);
+        assert_eq!(bursts(16, 32), vec![0, 32], "unaligned spans two");
+        assert_eq!(bursts(0, 1), vec![0]);
+        assert_eq!(bursts(96, 128), vec![96, 128, 160, 192]);
+        assert_eq!(m.burst_range(96, 128), 3..=6);
     }
 
     #[test]

@@ -140,20 +140,7 @@ impl ChannelStats {
         self.turnarounds.push(reads);
     }
 
-    pub(crate) fn record_service(
-        &mut self,
-        op: Op,
-        bank: usize,
-        row_hit: bool,
-        latency: u64,
-        port: u16,
-    ) {
-        let port_stats = self.ports.entry(port).or_default();
-        match op {
-            Op::Read => port_stats.read_bursts += 1,
-            Op::Write => port_stats.write_bursts += 1,
-        }
-        port_stats.latency_sum += latency;
+    pub(crate) fn record_service(&mut self, op: Op, bank: usize, row_hit: bool, latency: u64) {
         match op {
             Op::Read => {
                 self.read_bursts += 1;
@@ -327,9 +314,9 @@ mod tests {
     #[test]
     fn channel_stats_record_per_bank() {
         let mut s = ChannelStats::new(8, 32, 64);
-        s.record_service(Op::Read, 3, true, 10, 0);
-        s.record_service(Op::Write, 3, false, 20, 0);
-        s.record_service(Op::Read, 0, false, 30, 1);
+        s.record_service(Op::Read, 3, true, 10);
+        s.record_service(Op::Write, 3, false, 20);
+        s.record_service(Op::Read, 0, false, 30);
         assert_eq!(s.read_bursts, 2);
         assert_eq!(s.write_bursts, 1);
         assert_eq!(s.read_bursts_per_bank[3], 1);
@@ -352,10 +339,10 @@ mod tests {
     #[test]
     fn dram_stats_aggregate() {
         let mut a = ChannelStats::new(2, 4, 4);
-        a.record_service(Op::Read, 0, true, 100, 0);
+        a.record_service(Op::Read, 0, true, 100);
         let mut b = ChannelStats::new(2, 4, 4);
-        b.record_service(Op::Read, 1, false, 200, 0);
-        b.record_service(Op::Write, 1, true, 50, 1);
+        b.record_service(Op::Read, 1, false, 200);
+        b.record_service(Op::Write, 1, true, 50);
         let stats = DramStats::new(vec![a, b], 7);
         assert_eq!(stats.total_read_bursts(), 2);
         assert_eq!(stats.total_write_bursts(), 1);

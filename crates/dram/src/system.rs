@@ -5,7 +5,7 @@ use mocktails_core::{InjectionFeedback, Synthesizer};
 use mocktails_trace::{Request, Trace};
 
 use crate::channel::{Channel, Packet};
-use crate::config::DramConfig;
+use crate::config::{AddressMapping, DramConfig};
 use crate::stats::DramStats;
 
 /// A multi-channel memory system behind a crossbar.
@@ -18,6 +18,7 @@ use crate::stats::DramStats;
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: DramConfig,
+    mapping: AddressMapping,
     channels: Vec<Channel>,
     stall_cycles: u64,
     /// Per-port link occupancy: when each device's link frees up.
@@ -30,6 +31,7 @@ impl MemorySystem {
         let channels = (0..cfg.channels).map(|_| Channel::new(cfg)).collect();
         Self {
             cfg,
+            mapping: cfg.mapping(),
             channels,
             stall_cycles: 0,
             link_free_at: Vec::new(),
@@ -44,7 +46,6 @@ impl MemorySystem {
     /// Injects one request from `port`; returns the backpressure stall in
     /// cycles.
     fn inject_from(&mut self, request: &Request, port: u16) -> u64 {
-        let mapping = self.cfg.mapping();
         // Link serialization: the request occupies its device's link for
         // size / bandwidth cycles before crossing the crossbar.
         if self.link_free_at.len() <= usize::from(port) {
@@ -62,8 +63,8 @@ impl MemorySystem {
         let at_xbar = link_start + occupancy;
 
         let mut stall_total = 0u64;
-        for burst_addr in mapping.bursts(request.address, request.size) {
-            let (channel, bank, row) = mapping.decode(burst_addr);
+        for burst in self.mapping.burst_range(request.address, request.size) {
+            let (channel, bank, row) = self.mapping.decode_burst(burst);
             let packet = Packet {
                 arrival: at_xbar + self.cfg.xbar_latency + stall_total,
                 injected: request.timestamp,
@@ -150,11 +151,7 @@ impl MemorySystem {
         for ch in &mut self.channels {
             ch.drain();
         }
-        let stats = self
-            .channels
-            .iter()
-            .map(|c| c.stats.clone())
-            .collect::<Vec<_>>();
+        let stats = self.channels.iter().map(Channel::stats).collect();
         DramStats::new(stats, self.stall_cycles)
     }
 }
@@ -394,6 +391,97 @@ mod tests {
         let a = MemorySystem::new(DramConfig::default()).run_trace(&trace);
         let b = MemorySystem::new(DramConfig::default()).run_trace(&trace);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn row_interleaved_stats_match_reference_controller() {
+        // Golden pins for the coarse-grained mapping, which cannot be named
+        // outside the crate (tests/golden.rs pins the default mapping).
+        // Captured from the reference controller; FNV-1a over the `Debug`
+        // form of the statistics, so every counter is covered.
+        use crate::config::{MappingScheme, PagePolicy, SchedulingPolicy};
+        use mocktails_trace::rng::{Prng, Rng};
+        let mut rng = Prng::seed_from_u64(0xD4A1_2013);
+        let mut t = 0u64;
+        let reqs: Vec<Request> = (0..12_000u64)
+            .map(|i| {
+                t += if rng.gen_range(0..16u32) == 0 {
+                    rng.gen_range(200..5_000u64)
+                } else {
+                    rng.gen_range(0..4u64)
+                };
+                let addr = if i % 3 == 0 {
+                    (i * 64) % (4 << 20)
+                } else {
+                    rng.gen_range(0..16u64 << 20)
+                };
+                let op = if rng.gen_bool(0.4) {
+                    Op::Write
+                } else {
+                    Op::Read
+                };
+                Request::new(
+                    t,
+                    addr,
+                    op,
+                    [4u32, 32, 64, 100, 256][rng.gen_range(0..5usize)],
+                )
+            })
+            .collect();
+        let trace = Trace::from_requests(reqs);
+        let golden: [(PagePolicy, SchedulingPolicy, u64, u64); 6] = [
+            (
+                PagePolicy::OpenAdaptive,
+                SchedulingPolicy::FrFcfs,
+                24549,
+                0xe37b_13da_42b6_048f,
+            ),
+            (
+                PagePolicy::OpenAdaptive,
+                SchedulingPolicy::Fcfs,
+                26627,
+                0x46e4_889a_26a4_f825,
+            ),
+            (
+                PagePolicy::Open,
+                SchedulingPolicy::FrFcfs,
+                25152,
+                0x0aab_3365_ce07_ea3e,
+            ),
+            (
+                PagePolicy::Open,
+                SchedulingPolicy::Fcfs,
+                26820,
+                0xad27_2763_18e6_c756,
+            ),
+            (
+                PagePolicy::Closed,
+                SchedulingPolicy::FrFcfs,
+                68438,
+                0xebe3_22b1_e627_4229,
+            ),
+            (
+                PagePolicy::Closed,
+                SchedulingPolicy::Fcfs,
+                68438,
+                0xebe3_22b1_e627_4229,
+            ),
+        ];
+        let got: Vec<_> = golden
+            .iter()
+            .map(|&(page_policy, scheduling, _, _)| {
+                let cfg = DramConfig {
+                    page_policy,
+                    scheduling,
+                    mapping_scheme: MappingScheme::RowInterleaved,
+                    ..DramConfig::default()
+                };
+                let stats = MemorySystem::new(cfg).run_trace(&trace);
+                let digest = mocktails_trace::fnv1a(format!("{stats:?}").as_bytes());
+                (page_policy, scheduling, stats.stall_cycles, digest)
+            })
+            .collect();
+        assert_eq!(got, golden);
     }
 
     #[test]

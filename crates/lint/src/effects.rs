@@ -877,6 +877,8 @@ fn l018_path(path: &str) -> bool {
         "trace/src/stream",
         "trace/src/fingerprint",
         "cache/src",
+        "dram/src",
+        "baselines/src/stm",
     ]
     .iter()
     .any(|p| path.contains(p))

@@ -174,8 +174,8 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "L018",
-        summary: "no allocation inside a hot loop on the synthesis/codec/cache-replay path, \
-                  directly or through transitive callees",
+        summary: "no allocation inside a hot loop on the synthesis/codec/cache-replay/DRAM/STM \
+                  path, directly or through transitive callees",
         rationale: "The paper's core loop emits millions of records; a per-iteration \
                     allocation dominates its throughput.",
         example: "crates/core/src/x.rs:105: [L018] allocation `format!` inside a hot loop of \

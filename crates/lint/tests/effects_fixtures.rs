@@ -1,7 +1,8 @@
 //! Effect-summary rule fixtures: a three-hop L016 panic chain out of the
 //! synthesis iterator, L017 blocking two calls behind the reactor sweep,
 //! an L018 allocation in a nested hot loop (and a per-request `collect`
-//! in a cache replay loop), and an L019 capped-vs-uncapped
+//! in a cache replay loop, a per-stride `to_vec` in the DRAM and STM
+//! kernels), and an L019 capped-vs-uncapped
 //! growth pair. Each failing fixture carries a clean sibling in the same
 //! file, so every test pins both the hit and the non-hit.
 
@@ -128,6 +129,30 @@ fn l018_polices_cache_replay_loops() {
         "effects/l018_cache.rs",
         "crates/sim/src/replay.rs",
         "l018-off",
+    );
+    assert!(off_path.is_empty(), "{off_path:?}");
+}
+
+#[test]
+fn l018_polices_dram_and_stm_kernels() {
+    // The DRAM controller and the STM stride table are policed paths: a
+    // per-iteration `.to_vec()` is flagged there; the in-place sibling is
+    // clean.
+    for (scope, tag) in [
+        ("crates/dram/src/channel.rs", "l018-dram"),
+        ("crates/baselines/src/stm.rs", "l018-stm"),
+    ] {
+        let got = effect_diags("effects/l018_dram_stm.rs", scope, tag);
+        assert_eq!(got.len(), 1, "{scope}: {got:?}");
+        let (line, rule, msg) = &got[0];
+        assert_eq!((*line, *rule), (6, "L018"), "{scope}: {got:?}");
+        assert!(msg.contains("to_vec") && msg.contains("fit"), "{msg}");
+    }
+    // The HRD baseline beside STM is not on the policed paths.
+    let off_path = effect_diags(
+        "effects/l018_dram_stm.rs",
+        "crates/baselines/src/hrd.rs",
+        "l018-hrd",
     );
     assert!(off_path.is_empty(), "{off_path:?}");
 }

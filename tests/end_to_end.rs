@@ -2,8 +2,11 @@
 //! (workload → profile → synthesis → DRAM/cache simulation) for every
 //! device class, with accuracy bounds on the paper's headline metrics.
 
+use std::sync::OnceLock;
+
 use mocktails::sim::error::pct_error;
-use mocktails::sim::harness::{evaluate_dram, EvalOptions};
+use mocktails::sim::experiments::dram::{fig06, fig09, Model};
+use mocktails::sim::harness::{evaluate_dram, evaluate_dram_all, DramEval, EvalOptions};
 use mocktails::workloads::{catalog, Device};
 use mocktails::{DramConfig, HierarchyConfig, MemorySystem, Profile};
 
@@ -11,6 +14,86 @@ fn options() -> EvalOptions {
     EvalOptions {
         max_requests: Some(8_000),
         ..EvalOptions::default()
+    }
+}
+
+/// The whole Table II catalog at the [`options`] budget, evaluated once
+/// and shared by the Fig. 6/9 gates.
+fn catalog_evals() -> &'static [DramEval] {
+    static EVALS: OnceLock<Vec<DramEval>> = OnceLock::new();
+    EVALS.get_or_init(|| evaluate_dram_all(&options()))
+}
+
+/// How far McC's Fig. 6 burst-count error may exceed STM's, in percentage
+/// points, and still count as "McC ≤ STM". Both models draw sizes from the
+/// same McC size model, so on the CPU traces their burst errors tie to
+/// within rounding of the burst totals: measured 0.116 vs 0.114 (read)
+/// and 0.137 vs 0.134 (write) at this budget. Where the op models differ
+/// (VPU reads: 0.033 vs 0.216) McC must win outright.
+const BURST_ERR_TIE_PP: f64 = 0.01;
+
+/// Per-device bound on McC's Fig. 9 read row-hit error (geo-mean %).
+/// Measured worst device at this budget: CPU 4.14 % (full-length runs,
+/// seeds 1–3: ≤ 3.55 %). The paper reports ≤ 7.3 %.
+const MCC_READ_ROW_HIT_ERR_PCT: f64 = 5.0;
+
+/// Per-device bound on McC's Fig. 9 write row-hit error (geo-mean %).
+/// Measured worst device at this budget: CPU 4.66 % (full-length runs,
+/// seeds 1–3: ≤ 4.19 %). The paper reports ≤ 2.8 %.
+const MCC_WRITE_ROW_HIT_ERR_PCT: f64 = 5.0;
+
+#[test]
+fn mcc_burst_error_is_at_most_stm_per_device() {
+    // Fig. 6: per device, McC's read and write burst-count errors are no
+    // worse than STM's.
+    let bars = fig06(catalog_evals());
+    for device in Device::ALL {
+        let bar = |model| {
+            bars.iter()
+                .find(|b| b.device == device && b.model == model)
+                .expect("one bar per device and model")
+        };
+        let (mcc, stm) = (bar(Model::McC), bar(Model::Stm));
+        for (what, m, s) in [
+            ("read", mcc.read_error, stm.read_error),
+            ("write", mcc.write_error, stm.write_error),
+        ] {
+            assert!(
+                m <= s + BURST_ERR_TIE_PP,
+                "{device} {what} burst error: McC {m:.3}% vs STM {s:.3}%"
+            );
+        }
+        if device == Device::Vpu {
+            assert!(
+                mcc.read_error < stm.read_error,
+                "VPU read burst error: McC {:.3}% vs STM {:.3}%",
+                mcc.read_error,
+                stm.read_error
+            );
+        }
+    }
+}
+
+#[test]
+fn mcc_row_hit_error_is_bounded_per_device() {
+    // Fig. 9, the paper's headline: McC's read and write row-hit errors
+    // stay under a stated bound on every device.
+    let bars = fig09(catalog_evals());
+    let mcc: Vec<_> = bars.iter().filter(|b| b.model == Model::McC).collect();
+    assert_eq!(mcc.len(), Device::ALL.len());
+    for bar in mcc {
+        assert!(
+            bar.read_error < MCC_READ_ROW_HIT_ERR_PCT,
+            "{} McC read row-hit error {:.2}%",
+            bar.device,
+            bar.read_error
+        );
+        assert!(
+            bar.write_error < MCC_WRITE_ROW_HIT_ERR_PCT,
+            "{} McC write row-hit error {:.2}%",
+            bar.device,
+            bar.write_error
+        );
     }
 }
 
